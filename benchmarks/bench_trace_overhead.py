@@ -1,22 +1,22 @@
 """Trace-subsystem overhead: disabled tracer must be (near) free.
 
-The trace hooks are attached per simulation *instance* — when no
-:class:`~repro.obs.trace.TraceSession` is passed, every component runs
-its original, unwrapped methods, so the disabled path is the no-hooks
-baseline by construction.  This bench keeps that property honest
-against future regressions (an unconditional hook, a stray branch in
-a hot loop) by timing three interleaved arms on the paper's GPU
-configuration:
+Every timing hot path has one body, and its tracing is a branch
+guarded by the component's session — when no
+:class:`~repro.obs.trace.TraceSession` is passed, each event point
+costs one ``None`` test, so the disabled path is the baseline code by
+construction.  This bench keeps that property honest against future
+regressions (an unconditional hook, tracing work outside the guard)
+by timing three interleaved arms on the paper's GPU configuration:
 
 * ``baseline`` — ``simulate_app`` with no tracer;
 * ``disabled`` — the identical call, timed in alternation with the
   baseline (both must run the same code; the measured ratio is pure
   noise and asserted ``< 1.02``);
 * ``enabled``  — a fresh default-config ``TraceSession`` per run,
-  gated at ``MAX_ENABLED_RATIO`` over baseline: the fused hot-path
-  instrumentation (interned emission sites, a flat tuple ring with
-  amortized compaction, export-time stringification) keeps full
-  tracing cheap enough to leave on.
+  gated at ``MAX_ENABLED_RATIO`` over baseline: the hot paths' event
+  branches (interned emission sites, a flat ring with amortized
+  compaction, export-time stringification) keep full tracing cheap
+  enough to leave on.
 
 Each sample batches ``REPRO_BENCH_TRACE_BATCH`` timing runs (default
 20, ~0.7 s), after one warm-up batch per arm.  The baseline/disabled

@@ -27,7 +27,7 @@ from repro.obs.trace import PID_TIMELINE, TID_MAIN, TraceSession
 from repro.sim.ldst import LdstUnit, SimStats, TimingProtection
 from repro.sim.memory_subsystem import MemorySubsystem
 from repro.sim.metrics import SimReport
-from repro.sim.sm import SmCore
+from repro.sim.sm import _FAR_FUTURE, SmCore
 
 
 def build_protection(
@@ -202,11 +202,11 @@ def _attach_trace_hooks(
     sms: list[SmCore],
     subsystem: MemorySubsystem,
 ) -> None:
-    """Instrument every component of one simulation for ``tracer``.
+    """Hand ``tracer`` to every component of one simulation.
 
-    Instance methods are rebound only on these objects — the classes
-    (and therefore every un-traced simulation, including ones running
-    concurrently in the same process) are untouched.
+    The session is held per instance, so every other simulation —
+    including ones running concurrently in the same process — stays
+    untraced.
     """
     tracer.register_track(
         PID_TIMELINE, "kernel timeline", TID_MAIN, "kernels")
@@ -228,10 +228,9 @@ def simulate_trace(
     ``metrics``, when given, receives the simulator's observability
     counters and per-channel DRAM distributions (additively — one
     registry can aggregate many simulations).  ``tracer``, when given,
-    records the cycle-level event trace and interval time series; the
-    un-traced path executes exactly the code it did before tracing
-    existed (hooks are attached per instance, never installed on the
-    classes).
+    records the cycle-level event trace and interval time series.
+    Tracing never changes the report: the event branches of the hot
+    paths only read simulation state.
     """
     protection = protection or TimingProtection.baseline()
     budget = budget or HardwareBudget.from_config(config)
@@ -250,6 +249,10 @@ def simulate_trace(
         _attach_trace_hooks(tracer, sms, subsystem)
         sampler = _IntervalSampler(tracer, stats, ldsts, subsystem)
 
+    # The heap's popped cycle is the global low-water mark the interval
+    # sampler advances on.
+    next_sample = sampler.next_boundary if sampler is not None \
+        else _FAR_FUTURE
     global_time = 0
     kernel_cycles: dict[str, int] = {}
     for kernel in trace.kernels:
@@ -261,30 +264,23 @@ def simulate_trace(
             if ctas:
                 sm.start_kernel(ctas, global_time)
                 heapq.heappush(heap, (sm.cycle, sm.sm_id))
-        if sampler is None:
-            while heap:
-                _cycle, sm_id = heapq.heappop(heap)
-                sm = sms[sm_id]
-                if not sm.active:
-                    continue
-                sm.step()
-                if sm.active:
-                    heapq.heappush(heap, (sm.cycle, sm.sm_id))
-        else:
-            while heap:
-                _cycle, sm_id = heapq.heappop(heap)
-                sampler.advance(_cycle)
-                sm = sms[sm_id]
-                if not sm.active:
-                    continue
-                sm.step()
-                if sm.active:
-                    heapq.heappush(heap, (sm.cycle, sm.sm_id))
+        while heap:
+            cycle, sm_id = heapq.heappop(heap)
+            if cycle >= next_sample:
+                sampler.advance(cycle)
+                next_sample = sampler.next_boundary
+            sm = sms[sm_id]
+            if not sm.active:
+                continue
+            sm.step()
+            if sm.active:
+                heapq.heappush(heap, (sm.cycle, sm.sm_id))
         kernel_end = max(
             (sm.cycle for sm in sms), default=global_time
         )
         if tracer is not None:
             sampler.flush(kernel_end)
+            next_sample = sampler.next_boundary
             tracer.emit(
                 "kernel", kernel.name, global_time,
                 kernel_end - global_time, PID_TIMELINE, TID_MAIN,

@@ -23,6 +23,7 @@ class WarpRunner:
         "outstanding_max",
         "resume_time",
         "done",
+        "issue_site",
     )
 
     def __init__(self, trace: WarpTrace):
@@ -33,6 +34,8 @@ class WarpRunner:
         self.outstanding_max = 0
         self.resume_time = 0
         self.done = not trace.insts
+        #: Trace site of this warp's issue instants (-1: not traced).
+        self.issue_site = -1
 
     @property
     def warp_id(self) -> int:
