@@ -83,6 +83,24 @@ class TestEventContent:
         assert all(e.ts >= 0 for e in tracer.events)
 
 
+class TestBoundedRing:
+    def test_small_ring_keeps_the_newest_events_of_a_run(
+            self, test_config):
+        """The hot paths append to the ring directly and compaction
+        runs only at interval boundaries; a wrapped ring must still
+        hold exactly the tail of the unwrapped one."""
+        _, full = _traced_run(test_config=test_config)
+        cap = 300
+        _, small = _traced_run(
+            tcfg=TraceConfig(max_events=cap, interval_cycles=512),
+            test_config=test_config)
+        assert full.dropped == 0 and full.emitted > 4 * cap
+        assert small.emitted == full.emitted
+        assert small.dropped == full.emitted - cap
+        assert small.events == full.events[-cap:]
+        assert small.samples == full.samples
+
+
 class TestAttribution:
     def test_replica_traffic_attributed_to_owner(self, test_config):
         """Replica reads land outside every object's address span, so
