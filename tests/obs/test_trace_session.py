@@ -98,6 +98,45 @@ class TestSampling:
         assert 350 < kept < 650
 
 
+class TestRecorder:
+    def test_one_call_keeps_every_record_in_order(self):
+        session = TraceSession(TraceConfig())
+        sid = session.site("noc", "req[0]", 500, 0)
+        session.recorder("noc")((sid, 1, 2, "A", None,
+                                 sid, 3, 4, "B", None))
+        assert [(e.ts, e.dur, e.obj) for e in session.events] == \
+            [(1, 2, "A"), (3, 4, "B")]
+        assert session.emitted == 2
+
+    def test_filtered_category_keeps_nothing(self):
+        session = TraceSession(
+            TraceConfig(sample_rate=0.5, categories=frozenset({"dram"})))
+        for sampled in (True, False):
+            session.recorder("noc", sampled)((0, 1, 2, "A", None))
+        assert session.emitted == 0
+
+    def test_unsampled_recorder_ignores_the_rate(self):
+        session = TraceSession(TraceConfig(sample_rate=0.0))
+        sid = session.site("warp", "stall:mshr_full", 100, 0)
+        record = session.recorder("warp", sampled=False)
+        for ts in range(10):
+            record((sid, ts, 1, None, None))
+        assert session.emitted == 10
+
+    def test_filtering_never_shifts_the_sampling_coin(self):
+        kept = TraceSession(TraceConfig(sample_rate=0.5, seed=3))
+        filtered = TraceSession(TraceConfig(
+            sample_rate=0.5, seed=3, categories=frozenset({"dram"})))
+        sid = kept.site("noc", "req[0]", 500, 0)
+        for session in (kept, filtered):
+            record = session.recorder("noc")
+            for ts in range(50):
+                record((sid, ts, 1, None, None))
+        assert 0 < kept.emitted < 50 and filtered.emitted == 0
+        assert [kept.sampled() for _ in range(100)] == \
+            [filtered.sampled() for _ in range(100)]
+
+
 class TestObjectMap:
     def test_resolves_objects_and_gaps(self, memory):
         a = _alloc(memory, "A", 4096)
